@@ -85,7 +85,7 @@ func TestFastKillsParkedDescriptor(t *testing.T) {
 
 // TestHelpBudgetExhaustionAborts parks more descriptors than the helping
 // budget allows: the attempt helps exactly budget of them, then aborts
-// explicitly with code HelpExhausted, leaving the remaining descriptor
+// explicitly, leaving the remaining descriptor
 // undecided and unharmed (no kill without a paying commit).
 func TestHelpBudgetExhaustionAborts(t *testing.T) {
 	d := NewDomain(0, 0)
@@ -124,8 +124,8 @@ func TestHelpBudgetExhaustionAborts(t *testing.T) {
 
 // TestDeferringAbortsWithoutKill pins the fast level's behavior inside a
 // three-path composition: a deferring transaction (budget 0, deferPending)
-// that collides with a parked undecided descriptor aborts explicitly with
-// code HelpExhausted — it neither kills the descriptor (the two-path rule)
+// that collides with a parked undecided descriptor aborts explicitly — it
+// neither kills the descriptor (the two-path rule)
 // nor helps it (the middle tier's job) — and publishes nothing of its own.
 func TestDeferringAbortsWithoutKill(t *testing.T) {
 	d := NewDomain(0, 0)

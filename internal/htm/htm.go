@@ -48,10 +48,11 @@
 package htm
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -72,7 +73,7 @@ const (
 	AbortCapacity
 	// AbortExplicit means the transaction called Abort itself, e.g. because
 	// it observed a state in which it would have to help a concurrent
-	// operation (§2.4 of the paper). The user code is available via Tx code.
+	// operation (§2.4 of the paper).
 	AbortExplicit
 )
 
@@ -478,10 +479,11 @@ func NewVar[T comparable](d *Domain, init T) *Var[T] {
 // Domain returns the domain the Var is bound to.
 func (v *Var[T]) Domain() *Domain { return v.d }
 
-// abortSignal is the panic payload used to unwind to Atomically.
+// abortSignal is the panic payload used to unwind to Atomically. Each Tx
+// carries its own and panics with a pointer to it, so an abort allocates
+// nothing and the recover can tell its own signal from anyone else's.
 type abortSignal struct {
 	status Status
-	code   int
 	// alias marks a conflict abort attributed to stripe aliasing.
 	alias bool
 }
@@ -499,7 +501,13 @@ type stripeRec struct {
 
 // Tx is an in-flight transaction. A Tx is only valid inside the function
 // passed to Atomically and must not be retained, shared between goroutines,
-// or used after that function returns.
+// or used after that function returns: the engine recycles it for later
+// attempts.
+//
+// Every slice and bitmap below is reused across attempts (truncated, never
+// reallocated once large enough), and every bitmap is all-zero between uses:
+// whoever sets bits clears exactly those bits again, so resetting costs the
+// work the attempt did, not the size of the stripe table.
 type Tx struct {
 	d  *Domain
 	t  *stripeTable // the generation pinned at begin; all reads validate here
@@ -509,14 +517,23 @@ type Tx struct {
 	readSet  []uint64    // stripes with at least one transactional read
 	readRecs []stripeRec // one record per read stripe, first-touch order
 
-	// writes is the redo log: insertion-ordered so commit write-back follows
-	// program order of first-writes, plus an index for read-own-writes.
-	writeIdx map[any]int
+	// writeLog is the redo log: insertion-ordered so commit write-back
+	// follows program order of first-writes. Read-own-writes scans it by Var
+	// id while it is short; writeIdx indexes it once it outgrows
+	// smallWriteSet.
 	writeLog []writeEntry
+	writeIdx map[uint64]int
+
+	// Commit scratch: lock records for every live table generation, the
+	// per-generation stripe dedup bitmap, and the pinned generation's
+	// locked-stripe bitmap.
+	recs []stripeRec
+	seen []uint64
+	wset []uint64
 
 	readCap  int
 	writeCap int
-	code     int
+	sig      abortSignal // the payload this attempt's aborts panic with
 	// alias records whether the abort that ended this attempt (if any) was
 	// a conflict attributed to stripe aliasing.
 	alias bool
@@ -525,42 +542,92 @@ type Tx struct {
 	// tier: a transaction run with a positive budget (AtomicallyHelping)
 	// drives up to helpBudget undecided MultiCAS descriptors claiming its
 	// written cells to decision at commit — instead of killing them or
-	// aborting on sight — then aborts explicitly with code HelpExhausted.
-	// The fast path runs with budget 0 and is untouched. deferPending is
-	// the budget-0 variant for the fast level of a three-path site
-	// (AtomicallyDeferring): an undecided descriptor on the write set
-	// aborts the attempt instead of being killed, deferring the encounter
-	// to the helping tier below.
+	// aborting on sight — then aborts explicitly. The fast path runs with
+	// budget 0 and is untouched. deferPending is the budget-0 variant for
+	// the fast level of a three-path site (AtomicallyDeferring): an
+	// undecided descriptor on the write set aborts the attempt instead of
+	// being killed, deferring the encounter to the helping tier below.
 	helpBudget   int
 	helped       int
 	deferPending bool
 }
 
-type writeEntry struct {
-	key   any
-	varID uint64
-	boxed any // the pending value, boxed, for read-own-writes
-	apply func(boxed any)
-	// pending probes the written cell for an undecided MultiCAS claim, for
-	// the commit-time helping pass of budgeted (middle-level) transactions.
-	pending func() *MultiDesc
+// smallWriteSet is the write-log length up to which read-own-writes scans
+// the log linearly; past it the log is indexed by a map. Most transactions
+// write a handful of Vars, where a scan beats hashing.
+const smallWriteSet = 16
+
+// writeVar is a written Var as the redo log sees it, independent of its
+// value type.
+type writeVar interface {
+	// install publishes c, the entry's *cell, with the Var's stripe lock held.
+	install(c any)
+	// pending returns the undecided MultiCAS descriptor claiming the Var's
+	// cell, if any — for the commit-time helping pass of budgeted
+	// (middle-level) and deferring transactions.
+	pending() *MultiDesc
 }
 
-// Code returns the user abort code recorded by the last explicit Abort on
-// this context. It is only meaningful when Atomically returned AbortExplicit.
-func (tx *Tx) Code() int { return tx.code }
+// writeEntry is one redo-log entry. c is the *cell[T] commit installs: Store
+// allocates it on the first write and rewrites its value in place on later
+// writes in the same attempt, which is safe because no one else sees the
+// cell before commit publishes it.
+type writeEntry struct {
+	v     writeVar
+	varID uint64
+	c     any
+}
 
-// Abort aborts the running transaction with AbortExplicit, recording code for
-// the fallback path (the analogue of XABORT imm8). It does not return.
+// txPool recycles Tx values, with their sets, across attempts.
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
+
+// bitmap returns b resized to n words, reusing its storage when it is large
+// enough. Callers keep the words zero between uses.
+func bitmap(b []uint64, n int) []uint64 {
+	if cap(b) < n {
+		return make([]uint64, n)
+	}
+	return b[:n]
+}
+
+// release returns tx to the pool, dropping every reference to user values,
+// Vars and stripe tables so the pool pins none of them.
+func (tx *Tx) release() {
+	for i := range tx.readRecs {
+		idx := tx.readRecs[i].idx
+		tx.readSet[idx>>6] &^= 1 << (idx & 63)
+	}
+	clear(tx.readRecs)
+	tx.readRecs = tx.readRecs[:0]
+	if len(tx.writeLog) > smallWriteSet {
+		clear(tx.writeIdx)
+	}
+	clear(tx.writeLog)
+	tx.writeLog = tx.writeLog[:0]
+	clear(tx.recs)
+	tx.recs = tx.recs[:0]
+	tx.d, tx.t = nil, nil
+	txPool.Put(tx)
+}
+
+// Abort aborts the running transaction with AbortExplicit (the analogue of
+// XABORT). code names the abort site for readers of the calling code; the
+// engine reports only the status. It does not return.
 func (tx *Tx) Abort(code int) {
-	tx.code = code
-	panic(abortSignal{status: AbortExplicit, code: code})
+	tx.abort(AbortExplicit, false)
+}
+
+// abort ends the attempt with status st by unwinding to the enclosing
+// atomically. It does not return.
+func (tx *Tx) abort(st Status, alias bool) {
+	tx.sig = abortSignal{status: st, alias: alias}
+	panic(&tx.sig)
 }
 
 // conflict aborts the transaction with AbortConflict, classifying the
 // abort against the stripe word that failed validation. It does not return.
 func (tx *Tx) conflict(word uint64, s *stripe, varID uint64) {
-	panic(abortSignal{status: AbortConflict, alias: aliasConflict(word, s, varID)})
+	tx.abort(AbortConflict, aliasConflict(word, s, varID))
 }
 
 // recordRead adds the stripe to the transaction's read set (first touch
@@ -572,6 +639,39 @@ func (tx *Tx) recordRead(s *stripe, idx uint32, varID uint64) {
 	}
 	tx.readSet[w] |= b
 	tx.readRecs = append(tx.readRecs, stripeRec{s: s, idx: idx, varID: varID})
+}
+
+// written returns the write-log position of Var id, or -1.
+func (tx *Tx) written(id uint64) int {
+	if len(tx.writeLog) > smallWriteSet {
+		if i, ok := tx.writeIdx[id]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range tx.writeLog {
+		if tx.writeLog[i].varID == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// logWrite appends e to the write log, indexing the log once it outgrows
+// smallWriteSet.
+func (tx *Tx) logWrite(e writeEntry) {
+	tx.writeLog = append(tx.writeLog, e)
+	switch n := len(tx.writeLog); {
+	case n == smallWriteSet+1:
+		if tx.writeIdx == nil {
+			tx.writeIdx = make(map[uint64]int)
+		}
+		for i := range tx.writeLog {
+			tx.writeIdx[tx.writeLog[i].varID] = i
+		}
+	case n > smallWriteSet+1:
+		tx.writeIdx[e.varID] = n - 1
+	}
 }
 
 // Atomically runs f as a single transaction attempt against domain d and
@@ -605,24 +705,16 @@ func (d *Domain) AtomicallyClassified(f func(tx *Tx)) (Status, bool) {
 	return st, alias
 }
 
-// HelpExhausted is the abort code of a helping (middle-level) transaction
-// that ran out of helping budget: it encountered more undecided MultiCAS
-// descriptors on its write set than helpBudget allowed, helped that many to
-// decision, and aborted explicitly rather than kill the rest. The helping
-// is real progress — the decided descriptors stay decided — so retry
-// policies treat the abort as consuming one attempt, not the level. A
-// deferring fast attempt (AtomicallyDeferring, budget 0) aborts with the
-// same code on the first pending descriptor it finds, having helped none.
-const HelpExhausted = -2
-
 // AtomicallyHelping is AtomicallyClassified with a helping budget: the
 // three-path template's middle tier. A transaction run with helpBudget > 0
 // does not treat an undecided MultiCAS descriptor on a written cell as an
 // obstacle to kill (storeLocked's rule) — at commit, before taking any
 // stripe lock, it drives up to helpBudget such descriptors to decision via
 // their own lock-free protocol, then locks, validates, and publishes as
-// usual. Budget exhausted mid-pass aborts the attempt explicitly with code
-// HelpExhausted, leaving the remaining descriptors unharmed. The third
+// usual. Budget exhausted mid-pass aborts the attempt explicitly
+// (AbortExplicit), leaving the remaining descriptors unharmed. The helping
+// is real progress — the decided descriptors stay decided — so retry
+// policies treat the abort as consuming one attempt, not the level. The third
 // result reports how many descriptors this attempt helped to decision
 // (counted even when the attempt subsequently aborts: decisions are real,
 // externally visible progress). helpBudget <= 0 is exactly
@@ -633,7 +725,7 @@ func (d *Domain) AtomicallyHelping(helpBudget int, f func(tx *Tx)) (Status, bool
 
 // AtomicallyDeferring is AtomicallyClassified for the fast level of a
 // three-path site: a budget-0 transaction that, at commit, aborts explicitly
-// (code HelpExhausted) when an undecided MultiCAS descriptor sits on any
+// (AbortExplicit) when an undecided MultiCAS descriptor sits on any
 // written cell — instead of killing it, the two-path kill-paid-by-commit
 // rule. The abort leaves the descriptor alive for the helping middle tier
 // below (speculate.Core.DefersAt derives when this variant applies).
@@ -650,17 +742,12 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 	// that finished before the current generation was installed has already
 	// bumped the clock, so a post-pin snapshot can never miss it.
 	t := d.pin()
-	tx := &Tx{
-		d:            d,
-		t:            t,
-		rv:           d.clock.Load(),
-		readSet:      make([]uint64, t.words),
-		writeIdx:     make(map[any]int, 8),
-		readCap:      rc,
-		writeCap:     wc,
-		helpBudget:   helpBudget,
-		deferPending: deferPending,
-	}
+	tx := txPool.Get().(*Tx)
+	tx.d, tx.t, tx.rv = d, t, d.clock.Load()
+	tx.reads, tx.readCap, tx.writeCap = 0, rc, wc
+	tx.readSet = bitmap(tx.readSet, t.words)
+	tx.alias = false
+	tx.helpBudget, tx.helped, tx.deferPending = helpBudget, 0, deferPending
 	status := d.attempt(tx, f)
 	t.active.Add(-1)
 	switch status {
@@ -676,22 +763,35 @@ func (d *Domain) atomically(helpBudget int, deferPending bool, f func(tx *Tx)) (
 	case AbortExplicit:
 		d.explicit.Add(1)
 	}
-	return status, status == AbortConflict && tx.alias, tx.helped
+	alias, helped := status == AbortConflict && tx.alias, tx.helped
+	tx.release()
+	return status, alias, helped
 }
 
+// attempt runs f and commits. It unwinds f's aborts into a status; any other
+// panic, or a runtime.Goexit out of f, releases the attempt's table pin and
+// propagates — the Tx is then dropped rather than recycled, since f's
+// unwinding code may still hold it.
 func (d *Domain) attempt(tx *Tx, f func(tx *Tx)) (status Status) {
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			if sig, ok := r.(abortSignal); ok {
-				status = sig.status
-				tx.alias = sig.alias
-				return
-			}
+		if returned {
+			return
+		}
+		r := recover()
+		if sig, ok := r.(*abortSignal); ok && sig == &tx.sig {
+			status, tx.alias = sig.status, sig.alias
+			return
+		}
+		tx.t.active.Add(-1)
+		if r != nil {
 			panic(r)
 		}
 	}()
 	f(tx)
-	return tx.commit()
+	status = tx.commit()
+	returned = true
+	return status
 }
 
 // commit publishes the write log with the TL2 protocol: lock the written
@@ -721,17 +821,13 @@ func (tx *Tx) commit() Status {
 	// pending descriptor and abort without harming it.
 	if tx.helpBudget > 0 || tx.deferPending {
 		for i := range tx.writeLog {
-			e := &tx.writeLog[i]
-			if e.pending == nil {
-				continue
-			}
+			v := tx.writeLog[i].v
 			for {
-				m := e.pending()
+				m := v.pending()
 				if m == nil {
 					break
 				}
 				if tx.helped >= tx.helpBudget {
-					tx.code = HelpExhausted
 					return AbortExplicit
 				}
 				tx.helped++
@@ -750,19 +846,28 @@ func (tx *Tx) commit() Status {
 	var recs, pinRecs []stripeRec
 	for {
 		p := d.tbls.Load()
-		recs = recs[:0]
+		recs = tx.recs[:0]
 		if p.prev != nil {
-			recs = appendWriteRecs(recs, p.prev, tx.writeLog)
+			recs = tx.appendWriteRecs(recs, p.prev)
 		}
 		split := len(recs)
-		recs = appendWriteRecs(recs, p.cur, tx.writeLog)
+		recs = tx.appendWriteRecs(recs, p.cur)
+		tx.recs = recs
 
-		// Lock phase. On failure restore every stripe already taken.
+		// Lock phase. A stripe held by another writer aborts the commit,
+		// classified by the owner in the very word that showed it held; on
+		// failure restore every stripe already taken. A word that merely
+		// moved on between load and CAS is re-read: classifying it later
+		// would consult a last-writer record that an aborted locker never
+		// updated.
 		for i := range recs {
-			s := recs[i].s
+			s, owner := recs[i].s, recs[i].varID
 			w := s.word.Load()
-			if w&1 != 0 || !s.word.CompareAndSwap(w, recs[i].varID<<1|1) {
-				tx.alias = aliasConflict(s.word.Load(), s, recs[i].varID)
+			for w&1 == 0 && !s.word.CompareAndSwap(w, owner<<1|1) {
+				w = s.word.Load()
+			}
+			if w&1 != 0 {
+				tx.alias = aliasConflict(w, s, owner)
 				tx.unlock(recs[:i], 0)
 				return AbortConflict
 			}
@@ -781,40 +886,52 @@ func (tx *Tx) commit() Status {
 		}
 		tx.unlock(recs, 0) // swap raced the lock phase; relock both tables
 	}
-	wset := make([]uint64, tx.t.words)
-	for i := range pinRecs {
-		wset[pinRecs[i].idx>>6] |= 1 << (pinRecs[i].idx & 63)
-	}
-
 	wv := d.clock.Add(1)
 	// Validate the read set unless no one committed since our snapshot (in
 	// which case every read is trivially still current).
-	if wv != tx.rv+1 {
-		for _, r := range tx.readRecs {
-			if wset[r.idx>>6]&(1<<(r.idx&63)) != 0 {
-				// We hold this stripe's lock; judge it by its pre-lock word.
-				if prev := prevOf(pinRecs, r.idx); prev>>1 > tx.rv {
-					tx.alias = aliasConflict(prev, r.s, r.varID)
-					tx.unlock(recs, 0)
-					return AbortConflict
-				}
-				continue
-			}
-			if w := r.s.word.Load(); w&1 != 0 || w>>1 > tx.rv {
-				tx.alias = aliasConflict(w, r.s, r.varID)
-				tx.unlock(recs, 0)
-				return AbortConflict
-			}
-		}
+	if wv != tx.rv+1 && !tx.validate(pinRecs) {
+		tx.unlock(recs, 0)
+		return AbortConflict
 	}
 
 	// Apply the redo log and release the stripes at the new version.
 	for i := range tx.writeLog {
 		e := &tx.writeLog[i]
-		e.apply(e.boxed)
+		e.v.install(e.c)
 	}
 	tx.unlock(recs, wv<<1)
 	return Committed
+}
+
+// validate checks every read stripe against the begin snapshot, with the
+// pinned generation's write stripes (pinRecs) locked by this commit, and
+// records the conflict's attribution when it fails.
+func (tx *Tx) validate(pinRecs []stripeRec) bool {
+	wset := bitmap(tx.wset, tx.t.words)
+	tx.wset = wset
+	for i := range pinRecs {
+		wset[pinRecs[i].idx>>6] |= 1 << (pinRecs[i].idx & 63)
+	}
+	defer func() {
+		for i := range pinRecs {
+			wset[pinRecs[i].idx>>6] &^= 1 << (pinRecs[i].idx & 63)
+		}
+	}()
+	for _, r := range tx.readRecs {
+		if wset[r.idx>>6]&(1<<(r.idx&63)) != 0 {
+			// We hold this stripe's lock; judge it by its pre-lock word.
+			if prev := prevOf(pinRecs, r.idx); prev>>1 > tx.rv {
+				tx.alias = aliasConflict(prev, r.s, r.varID)
+				return false
+			}
+			continue
+		}
+		if w := r.s.word.Load(); w&1 != 0 || w>>1 > tx.rv {
+			tx.alias = aliasConflict(w, r.s, r.varID)
+			return false
+		}
+	}
+	return true
 }
 
 // unlock releases the given locked stripe records: to word (the new
@@ -837,26 +954,31 @@ func (tx *Tx) unlock(recs []stripeRec, word uint64) {
 // prevOf returns the pre-lock word recorded for stripe idx in the sorted
 // lock records.
 func prevOf(recs []stripeRec, idx uint32) uint64 {
-	i := sort.Search(len(recs), func(i int) bool { return recs[i].idx >= idx })
+	i, _ := slices.BinarySearchFunc(recs, idx, func(r stripeRec, idx uint32) int { return cmp.Compare(r.idx, idx) })
 	return recs[i].prev
 }
 
 // appendWriteRecs appends one record per distinct stripe the write log
 // touches in table t, sorted ascending within the appended group.
-func appendWriteRecs(recs []stripeRec, t *stripeTable, log []writeEntry) []stripeRec {
+func (tx *Tx) appendWriteRecs(recs []stripeRec, t *stripeTable) []stripeRec {
 	base := len(recs)
-	seen := make([]uint64, t.words)
-	for i := range log {
-		idx := t.indexOf(log[i].varID)
+	seen := bitmap(tx.seen, t.words)
+	tx.seen = seen
+	for i := range tx.writeLog {
+		id := tx.writeLog[i].varID
+		idx := t.indexOf(id)
 		w, b := idx>>6, uint64(1)<<(idx&63)
 		if seen[w]&b != 0 {
 			continue
 		}
 		seen[w] |= b
-		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: log[i].varID})
+		recs = append(recs, stripeRec{s: &t.stripes[idx], idx: idx, varID: id})
 	}
 	grp := recs[base:]
-	sort.Slice(grp, func(i, j int) bool { return grp[i].idx < grp[j].idx })
+	for i := range grp {
+		seen[grp[i].idx>>6] = 0 // every set bit is one of grp's stripes
+	}
+	slices.SortFunc(grp, func(a, b stripeRec) int { return cmp.Compare(a.idx, b.idx) })
 	return recs
 }
 
@@ -918,12 +1040,12 @@ func (dl *directLock) restore() {
 // commit (it retries across the stripe's writer windows).
 func Load[T comparable](tx *Tx, v *Var[T]) T {
 	if tx != nil {
-		if i, ok := tx.writeIdx[v]; ok {
-			return tx.writeLog[i].boxed.(T)
+		if i := tx.written(v.id); i >= 0 {
+			return tx.writeLog[i].c.(*cell[T]).val
 		}
 		tx.reads++
 		if tx.reads > tx.readCap {
-			panic(abortSignal{status: AbortCapacity})
+			tx.abort(AbortCapacity, false)
 		}
 		// Resolve the stripe in the PINNED generation: writers bump it for
 		// as long as we hold the pin, swap or no swap.
@@ -975,12 +1097,13 @@ func loadResolved[T comparable](v *Var[T]) T {
 	}
 }
 
-// storeLocked installs x in v's cell. It must be called with v's stripe
-// lock held: an undecided MultiCAS descriptor found on the cell is killed
-// (its decision must acquire this stripe too, so the status CAS cannot race
-// with a commit), and a decided one — whose stripe bump necessarily
-// preceded our lock acquisition — is released before we overwrite.
-func storeLocked[T comparable](v *Var[T], x T) {
+// storeLocked installs nc, a fresh descriptor-free cell, as v's cell. It
+// must be called with v's stripe lock held: an undecided MultiCAS descriptor
+// found on the cell is killed (its decision must acquire this stripe too, so
+// the status CAS cannot race with a commit), and a decided one — whose
+// stripe bump necessarily preceded our lock acquisition — is released before
+// we overwrite.
+func storeLocked[T comparable](v *Var[T], nc *cell[T]) {
 	for {
 		c := v.p.Load()
 		if c.desc != nil {
@@ -988,10 +1111,21 @@ func storeLocked[T comparable](v *Var[T], x T) {
 			c.desc.releaseAll()
 			continue
 		}
-		if v.p.CompareAndSwap(c, &cell[T]{val: x}) {
+		if v.p.CompareAndSwap(c, nc) {
 			return
 		}
 	}
+}
+
+// install implements writeVar: commit's write-back of a logged cell.
+func (v *Var[T]) install(c any) { storeLocked(v, c.(*cell[T])) }
+
+// pending implements writeVar.
+func (v *Var[T]) pending() *MultiDesc {
+	if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
+		return c.desc
+	}
+	return nil
 }
 
 // Store writes x to v. With a non-nil tx the write is buffered and becomes
@@ -999,33 +1133,19 @@ func storeLocked[T comparable](v *Var[T], x T) {
 // under v's stripe lock.
 func Store[T comparable](tx *Tx, v *Var[T], x T) {
 	if tx != nil {
-		if i, ok := tx.writeIdx[v]; ok {
-			tx.writeLog[i].boxed = x
+		if i := tx.written(v.id); i >= 0 {
+			tx.writeLog[i].c.(*cell[T]).val = x
 			return
 		}
 		if len(tx.writeLog) >= tx.writeCap {
-			panic(abortSignal{status: AbortCapacity})
+			tx.abort(AbortCapacity, false)
 		}
-		tx.writeIdx[v] = len(tx.writeLog)
-		tx.writeLog = append(tx.writeLog, writeEntry{
-			key:   v,
-			varID: v.id,
-			boxed: x,
-			apply: func(boxed any) {
-				storeLocked(v, boxed.(T))
-			},
-			pending: func() *MultiDesc {
-				if c := v.p.Load(); c.desc != nil && c.desc.status.Load() == mwUndecided {
-					return c.desc
-				}
-				return nil
-			},
-		})
+		tx.logWrite(writeEntry{v: v, varID: v.id, c: &cell[T]{val: x}})
 		return
 	}
 	d := v.d
 	dl := d.lockVar(v.id)
-	storeLocked(v, x)
+	storeLocked(v, &cell[T]{val: x})
 	dl.publish(v.id, d.clock.Add(1))
 }
 

@@ -28,7 +28,6 @@ func TestCommitMakesWritesVisible(t *testing.T) {
 func TestExplicitAbortDiscardsWrites(t *testing.T) {
 	d := NewDomain(0, 0)
 	x := NewVar(d, 10)
-	var code int
 	st := d.Atomically(func(tx *Tx) {
 		Store(tx, x, 99)
 		tx.Abort(7)
@@ -36,21 +35,38 @@ func TestExplicitAbortDiscardsWrites(t *testing.T) {
 	if st != AbortExplicit {
 		t.Fatalf("status = %v, want explicit abort", st)
 	}
-	_ = code
 	if got := Load(nil, x); got != 10 {
 		t.Errorf("x = %d after abort, want 10", got)
 	}
 }
 
-func TestAbortCodeIsVisible(t *testing.T) {
+// TestExplicitAbortStatusIsVisible checks what the caller of an explicitly
+// aborted attempt can observe: the AbortExplicit status, the Explicit
+// count, and none of the attempt's writes — read-own-writes included, and
+// past the write log's indexed size.
+func TestExplicitAbortStatusIsVisible(t *testing.T) {
 	d := NewDomain(0, 0)
-	var tx0 *Tx
+	vars := make([]*Var[int], 2*smallWriteSet)
+	for i := range vars {
+		vars[i] = NewVar(d, i)
+	}
 	st := d.Atomically(func(tx *Tx) {
-		tx0 = tx
+		for i, v := range vars {
+			Store(tx, v, -i)
+			Store(tx, v, Load(tx, v)-1)
+		}
 		tx.Abort(42)
 	})
-	if st != AbortExplicit || tx0.Code() != 42 {
-		t.Fatalf("status=%v code=%d, want explicit/42", st, tx0.Code())
+	if st != AbortExplicit {
+		t.Fatalf("status = %v, want explicit abort", st)
+	}
+	if got := d.Stats().Explicit; got != 1 {
+		t.Errorf("Stats().Explicit = %d, want 1", got)
+	}
+	for i, v := range vars {
+		if got := Load(nil, v); got != i {
+			t.Errorf("vars[%d] = %d after abort, want %d", i, got, i)
+		}
 	}
 }
 

@@ -90,6 +90,13 @@ func TestPinnedTxSurvivesResize(t *testing.T) {
 		for d.Stripes() != 1024 {
 			runtime.Gosched()
 		}
+		// The install is visible before ResizeStripes releases the old
+		// generation's stripes; wait for a's, or the re-read below aborts
+		// on the migration lock rather than testing the dual-table window.
+		old := d.tbls.Load().prev
+		for old.stripes[old.indexOf(a.id)].word.Load()&1 != 0 {
+			runtime.Gosched()
+		}
 		// A direct write during the migration window bumps both tables;
 		// disjoint from a (in the old table), it must not doom this tx.
 		Store(nil, b, 9)
